@@ -1,28 +1,25 @@
-"""Accelerated engine tiers (``ScenarioConfig.engine``).
+"""The batched fast path for pure DCF contention.
 
-``"exact"`` (the default) never routes through this package: the
-per-frame simulator runs untouched and its rows, cache keys and golden
-fixtures stay byte-identical.  ``"batched"`` swaps per-station scalar
-RNG for counter-keyed vectorized draws (:mod:`repro.accel.rng`) and —
-for pure-contention scenarios — a round-synchronous fast path over the
-:class:`~repro.sim.engine.SlabAgenda`.  ``"hybrid"`` runs an exact
-prefix, then closes the run with the Bianchi/Cali-Conti-Gregori
-analytic model once a saturation detector fires
-(:mod:`repro.accel.hybrid`), flagging rows ``fidelity="analytic"``.
+Every front end (sweep, validate, ESS, serve back-fill) runs the exact
+per-frame simulator; nothing there routes through this package.
+:func:`run_batched` is a direct call for the one shape a measurement
+shows it pays for: conventional pure-DCF points, about 8x faster than
+exact on the same config.  It swaps per-station scalar RNG for
+counter-keyed draws (:mod:`repro.accel.rng`) and the per-frame object
+simulation for a round-synchronous model over the
+:class:`~repro.sim.engine.SlabAgenda`, and refuses any config it
+cannot model (``ValueError`` naming the failing condition).
 
-See DESIGN.md "Engine tiers" for the selection rules and the
-determinism contract of each tier.
+See DESIGN.md "Engine" for the eligibility rules, its own golden
+fixture and the fidelity contract against exact.
 """
 
-from .engine import fast_path_eligible, run_scenario
-from .hybrid import SaturationDetector, run_hybrid
+from .engine import fast_path_eligible, run_batched
 from .rng import BatchedRngAdapter, ColumnStream
 
 __all__ = [
-    "run_scenario",
+    "run_batched",
     "fast_path_eligible",
-    "run_hybrid",
-    "SaturationDetector",
     "BatchedRngAdapter",
     "ColumnStream",
 ]

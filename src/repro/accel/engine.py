@@ -1,31 +1,23 @@
-"""The batched engine tier: dispatch + the contention fast path.
+"""The batched fast path for pure DCF contention.
 
-``run_scenario`` is the single entry point the executor routes
-non-exact points through.  For ``engine="batched"`` it picks one of
-two implementations:
+:func:`run_batched` is the entry point.  It applies only when the
+scenario is pure DCF contention (conventional scheme, zero real-time
+rates, no faults/trace/ESS/monitors; see :func:`fast_path_eligible`)
+and raises ``ValueError`` naming the first failing condition
+otherwise — every other scenario runs on the exact simulator.  The
+per-frame object simulation is replaced by a round-synchronous model
+(:class:`BatchedContentionModel`): one *round* is "idle slots until
+the smallest backoff counter expires, then the transmission it
+triggers".  Backoff redraws for a round come from counter-keyed
+adapter columns (:class:`~repro.accel.rng.BatchedRngAdapter`), arrivals
+are scheduled through the typed :class:`~repro.sim.engine.SlabAgenda`,
+and ``events_processed`` counts the **exact-engine-equivalent agenda
+fires** each round implies (see ``_EVENT_ACCOUNTING`` below), so its
+ev/s are directly comparable with the exact benchmarks.
 
-* **fast path** (:class:`BatchedContentionModel`) — when the scenario
-  is pure DCF contention (conventional scheme, zero real-time rates,
-  no faults/trace/ESS/monitors), the per-frame object simulation is
-  replaced by a round-synchronous model: one *round* is "idle slots
-  until the smallest backoff counter expires, then the transmission it
-  triggers".  Backoff redraws for a round are made in **one vectorized
-  adapter call** (:meth:`~repro.accel.rng.BatchedRngAdapter.uniforms`),
-  round completions are scheduled through the typed
-  :class:`~repro.sim.engine.SlabAgenda`, and ``events_processed``
-  counts the **exact-engine-equivalent agenda fires** each round
-  implies (see ``_EVENT_ACCOUNTING`` below), so its ev/s are directly
-  comparable with the exact benchmarks.
-
-* **general path** — any other scenario builds the ordinary
-  :class:`~repro.network.bss.BssScenario`, then rewires it: the data
-  stations' DCF engines draw from counter-keyed adapter columns
-  (:class:`~repro.accel.rng.ColumnStream`) and the BER model serves
-  per-batch vectorized draws (``BitErrorModel.enable_batch``).  Rows
-  keep the full exact schema and gain ``engine="batched"``.
-
-Both paths are seed-deterministic and pinned by their own golden
-fixture (``tests/accel``); exact-tier rows are untouched.
+The fast path is seed-deterministic and pinned by its own golden
+fixture (``tests/accel``); rows carry ``engine="batched"`` and are
+never cached or mixed with exact rows.
 
 ``_EVENT_ACCOUNTING`` — the fast path counts, per modeled occurrence,
 the agenda fires the exact engine would have dispatched:
@@ -46,9 +38,9 @@ superframe tick        conventional AP timer                 1
 =====================  ====================================  =====
 
 Fires whose exact-engine timestamp would land past ``sim_time`` are
-not counted (the exact run would never dispatch them).  The grounding
-test asserts this model stays within ~40% of a real exact run's
-``events_processed`` on the same config.
+not counted (the exact run would never dispatch them).  The fidelity
+test holds the mean batched/exact ``events_processed`` ratio over
+three seeds within 0.9–1.1 (DESIGN.md "Engine").
 """
 
 from __future__ import annotations
@@ -60,13 +52,12 @@ import numpy as np
 
 from ..baseline.conventional import ConventionalApConfig
 from ..metrics.stats import OnlineStats
-from ..network.bss import BssScenario, ScenarioConfig
-from ..phy.error_model import BitErrorModel
+from ..network.bss import ScenarioConfig
 from ..phy.timing import PhyTiming
 from ..sim.engine import SlabAgenda
 from .rng import BatchedRngAdapter
 
-__all__ = ["run_scenario", "fast_path_eligible", "BatchedContentionModel"]
+__all__ = ["run_batched", "fast_path_eligible", "BatchedContentionModel"]
 
 #: DATA header+FCS bits and ACK bits exposed to the BER model
 #: (mac/frames._HEADER_BITS — mirrored to keep the hot loop flat)
@@ -82,66 +73,48 @@ _KIND_TICK = 2
 _TIE_EPS = 1e-12
 
 
+#: the fast path's preconditions, in the order a refusal names them.
+#: It models DCF contention only: conventional scheme with zero
+#: real-time call rates (the conventional AP then never opens a CFP,
+#: see ``baseline/conventional._superframe_tick``), stationary Poisson
+#: data arrivals, and none of the exact-only attachments (faults,
+#: trace, ESS shard, invariant monitors).
+_FAST_PATH_CONDITIONS: tuple[
+    tuple[str, typing.Callable[[ScenarioConfig], bool]], ...
+] = (
+    ("scheme == 'conventional'", lambda c: c.scheme == "conventional"),
+    ("new_voice_rate == 0", lambda c: c.new_voice_rate == 0.0),
+    ("new_video_rate == 0", lambda c: c.new_video_rate == 0.0),
+    ("handoff_voice_rate == 0", lambda c: c.handoff_voice_rate == 0.0),
+    ("handoff_video_rate == 0", lambda c: c.handoff_video_rate == 0.0),
+    ("mobility == 'poisson'", lambda c: c.mobility == "poisson"),
+    ("faults is None", lambda c: c.faults is None),
+    ("trace is None", lambda c: c.trace is None),
+    ("ess is None", lambda c: c.ess is None),
+    ("monitor_invariants is False", lambda c: not c.monitor_invariants),
+    ("n_data_stations > 0", lambda c: c.n_data_stations > 0),
+)
+
+
+def _first_failing_condition(config: ScenarioConfig) -> str | None:
+    for name, holds in _FAST_PATH_CONDITIONS:
+        if not holds(config):
+            return name
+    return None
+
+
 def fast_path_eligible(config: ScenarioConfig) -> bool:
-    """True when the round-synchronous contention model applies.
+    """True when the round-synchronous contention model applies."""
+    return _first_failing_condition(config) is None
 
-    The fast path models DCF contention only: conventional scheme with
-    zero real-time call rates (the conventional AP then never opens a
-    CFP, see ``baseline/conventional._superframe_tick``), stationary
-    Poisson data arrivals, and none of the exact-only attachments
-    (faults, trace, ESS shard, invariant monitors).
+
+def run_batched(config: ScenarioConfig) -> dict[str, typing.Any]:
+    """Run one pure-DCF point on the batched fast path.
+
+    Raises ``ValueError`` naming the first failing precondition when
+    ``config`` is not :func:`fast_path_eligible`; there is no fallback.
     """
-    return (
-        config.scheme == "conventional"
-        and config.new_voice_rate == 0.0
-        and config.new_video_rate == 0.0
-        and config.handoff_voice_rate == 0.0
-        and config.handoff_video_rate == 0.0
-        and config.mobility == "poisson"
-        and config.faults is None
-        and config.trace is None
-        and config.ess is None
-        and not config.monitor_invariants
-        and config.n_data_stations > 0
-    )
-
-
-def run_scenario(config: ScenarioConfig) -> dict[str, typing.Any]:
-    """Run one point under its configured engine tier."""
-    if config.engine == "exact":
-        return BssScenario(config).run()
-    if config.engine == "hybrid":
-        from .hybrid import run_hybrid
-
-        return run_hybrid(config)
-    if config.engine != "batched":  # pragma: no cover - config validates
-        raise ValueError(f"unknown engine {config.engine!r}")
-    if fast_path_eligible(config):
-        return BatchedContentionModel(config).run()
-    return _run_general_batched(config)
-
-
-def _run_general_batched(config: ScenarioConfig) -> dict[str, typing.Any]:
-    """Batched tier for scenarios the fast path cannot model.
-
-    The exact scenario graph is built unchanged, then rewired for
-    batching: data-station DCF draws come from counter-keyed adapter
-    columns and BER draws are served from vectorized blocks.  Rows are
-    statistically equivalent to exact rows (same generators of
-    randomness, different draw values) and pinned by their own
-    fixture.
-    """
-    scenario = BssScenario(config)
-    model = scenario.channel.error_model
-    if type(model) is BitErrorModel:
-        model.enable_batch()
-    if scenario.data_stations:
-        adapter = BatchedRngAdapter(config.seed, len(scenario.data_stations))
-        for i, station in enumerate(scenario.data_stations):
-            station.dcf.rng = adapter.stream(i)
-    row = scenario.run()
-    row["engine"] = "batched"
-    return row
+    return BatchedContentionModel(config).run()
 
 
 class BatchedContentionModel:
@@ -153,8 +126,11 @@ class BatchedContentionModel:
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
-        if config.scheme != "conventional" or not fast_path_eligible(config):
-            raise ValueError("config is not fast-path eligible")
+        failing = _first_failing_condition(config)
+        if failing is not None:
+            raise ValueError(
+                f"config is not fast-path eligible: needs {failing}"
+            )
         self.config = config
         self.timing = PhyTiming()
         n = config.n_data_stations

@@ -2,7 +2,7 @@
 
 The exact engine gives every station its own ``numpy.Generator``
 (:class:`repro.sim.rng.RandomStreams`), drawn from one at a time.  The
-batched tier instead draws **one vectorized batch per round** — but a
+batched fast path instead draws **one vectorized batch per round** — but a
 round touches a different subset of stations every time, so a naive
 "one generator, n draws" scheme would make station *i*'s sequence
 depend on who else happened to be in the round.  That breaks both
@@ -172,11 +172,10 @@ class BatchedRngAdapter:
 class ColumnStream:
     """Scalar facade over one adapter column.
 
-    Implements the two ``numpy.Generator`` methods the MAC layer's
-    backoff path actually calls (``random`` and ``integers``), serving
-    each from the column's counter-keyed sequence — so an exact-shaped
-    component (e.g. a :class:`~repro.mac.dcf.DcfTransmitter`) can be
-    fed batched-identity draws without code changes.
+    Implements ``random`` and ``integers`` in the shape of
+    ``numpy.Generator``, serving each from the column's counter-keyed
+    sequence.  The fast path draws every station's backoff, traffic
+    and channel values through one of these per column.
     """
 
     __slots__ = ("_adapter", "_column", "_key", "_counters", "_buf", "_buf_i",

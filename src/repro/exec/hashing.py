@@ -23,14 +23,7 @@ from ..obs.jsonutil import jsonable
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ..network.bss import ScenarioConfig
 
-__all__ = [
-    "KEY_FORMAT",
-    "ACCEL_KEY_FORMAT",
-    "jsonable",
-    "canonical_json",
-    "normalize_row",
-    "config_key",
-]
+__all__ = ["KEY_FORMAT", "jsonable", "canonical_json", "normalize_row", "config_key"]
 
 #: bump to invalidate every existing cache entry and journal row
 #: (2: ScenarioConfig grew monitor_invariants, changing to_dict();
@@ -41,13 +34,6 @@ __all__ = [
 #:  5: ScenarioConfig grew the ess EssCellContext field and ESS cell
 #:  shards carry an ess sub-dict)
 KEY_FORMAT = 5
-
-#: key format for accelerated-tier points only.  ``ScenarioConfig``
-#: omits ``engine`` from :meth:`to_dict` when it is ``"exact"``, so
-#: exact points keep their ``KEY_FORMAT`` 5 keys (and cached results)
-#: untouched; ``engine="batched"``/``"hybrid"`` rows carry engine-tier
-#: fields and hash under this format instead.
-ACCEL_KEY_FORMAT = 6
 
 
 def canonical_json(value: typing.Any) -> str:
@@ -68,7 +54,5 @@ def normalize_row(row: dict[str, typing.Any]) -> dict[str, typing.Any]:
 
 def config_key(config: "ScenarioConfig") -> str:
     """Content-addressed identity of one simulation point."""
-    d = config.to_dict()
-    fmt = ACCEL_KEY_FORMAT if "engine" in d else KEY_FORMAT
-    payload = {"format": fmt, "config": d}
+    payload = {"format": KEY_FORMAT, "config": config.to_dict()}
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()

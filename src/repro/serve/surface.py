@@ -29,6 +29,7 @@ import typing
 
 from ..exec.cache import ResultCache
 from ..exec.hashing import KEY_FORMAT, canonical_json
+from ..network.bss import ScenarioConfig
 
 __all__ = [
     "CANDIDATE_AXES",
@@ -42,6 +43,11 @@ __all__ = [
 #: config fields treated as interpolation axes (in this order); every
 #: other field (minus ``seed``/``ess``) is surface identity
 CANDIDATE_AXES: tuple[str, ...] = ("load", "n_data_stations")
+
+#: keys a cache entry's config may carry: one written with any other
+#: key (e.g. ``engine`` from an older simulator) cannot be rebuilt into
+#: a ``ScenarioConfig`` for back-fill, so it never becomes a surface
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ScenarioConfig))
 
 #: result-row fields that are run bookkeeping, not surface metrics
 _NON_METRIC_FIELDS = frozenset(
@@ -337,7 +343,8 @@ class SurfaceIndex:
     def __init__(self, axes: typing.Sequence[str] = CANDIDATE_AXES) -> None:
         self.axes = tuple(axes)
         self.surfaces: dict[str, SweepSurface] = {}
-        #: entries whose config was absent/foreign — counted, not fatal
+        #: entries whose config was absent/foreign or carried keys that
+        #: are not ScenarioConfig fields — counted, not fatal
         self.skipped = 0
         self.rows = 0
 
@@ -359,7 +366,11 @@ class SurfaceIndex:
         row: typing.Mapping[str, typing.Any],
     ) -> SweepSurface | None:
         """Place one cache entry; returns the surface it landed on."""
-        if config is None or any(axis not in config for axis in self.axes):
+        if (
+            config is None
+            or any(axis not in config for axis in self.axes)
+            or not _CONFIG_FIELDS.issuperset(config)
+        ):
             self.skipped += 1
             return None
         residual = {

@@ -92,7 +92,7 @@ class SlabAgenda:
 
     The general agenda stores one Python object per entry (a timer
     handle or event) because callbacks are arbitrary.  The batched
-    engine tier (:mod:`repro.accel`) schedules only *typed* work —
+    fast path (:mod:`repro.accel`) schedules only *typed* work —
     arrivals, round completions, housekeeping ticks — so its entries
     need no objects at all: each occupies one slot across three
     parallel numpy slabs (``float64`` timestamp, ``int32`` kind,

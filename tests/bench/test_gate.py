@@ -125,7 +125,7 @@ class TestMicro:
         assert set(BENCHMARKS) == {
             "timer_chain", "cancel_storm", "process_ping",
             "dcf_contention", "pcf_polling", "end_to_end",
-            "batched_end_to_end", "hybrid_saturated",
+            "batched_end_to_end",
         }
 
     def test_every_benchmark_runs_and_reports_events(self):
@@ -155,6 +155,20 @@ class TestParallelSweepSection:
             section["parallel"]["sim_events"]
         ) > 0
         assert section["speedup"] > 0
+
+
+class TestAccelSection:
+    def test_speedup_is_exact_over_batched_wall_on_one_config(self):
+        from repro.bench.gate import run_accel_section
+
+        section = run_accel_section(repeats=1)
+        assert set(section) == {
+            "exact_wall_s", "batched_wall_s", "batched_speedup",
+        }
+        assert section["batched_speedup"] == pytest.approx(
+            section["exact_wall_s"] / section["batched_wall_s"], rel=0.02
+        )
+        assert section["batched_speedup"] > 1
 
 
 class TestCli:

@@ -89,3 +89,11 @@ class TestSkipModeFailureRecord:
         with pytest.raises(SweepExecutionError) as excinfo:
             executor.run(grid)
         assert executor.failures == excinfo.value.failures
+
+
+@pytest.mark.parametrize("command", ["sweep", "validate", "ess"])
+def test_engine_flag_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--engine", "batched"])
+    assert exc.value.code == 2
+    assert "--engine" in capsys.readouterr().err

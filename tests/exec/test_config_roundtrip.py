@@ -45,12 +45,10 @@ class TestRoundTrip:
         assert isinstance(rebuilt.alphas, tuple)
 
     def test_to_dict_covers_every_field(self):
-        # exact configs serialize without `engine` (pre-accel dicts and
-        # format-5 cache keys stay valid); non-exact configs carry it
-        every_field = {f.name for f in dataclasses.fields(ScenarioConfig)}
-        assert set(ScenarioConfig().to_dict()) == every_field - {"engine"}
-        batched = dataclasses.replace(ScenarioConfig(), engine="batched")
-        assert set(batched.to_dict()) == every_field
+        cfg = ScenarioConfig()
+        assert set(cfg.to_dict()) == {
+            f.name for f in dataclasses.fields(ScenarioConfig)
+        }
 
     def test_from_dict_validates(self):
         d = ScenarioConfig().to_dict()

@@ -327,7 +327,7 @@ class TestExecutorConfig:
         "kwargs",
         [
             {"workers": 0},
-            {"chunk_size": 0},
+            {"schedule": "random"},
             {"timeout": 0.0},
             {"retries": -1},
             {"on_failure": "explode"},
@@ -340,21 +340,6 @@ class TestExecutorConfig:
     def test_summary_requires_a_run(self):
         with pytest.raises(RuntimeError):
             SweepExecutor().summary()
-
-    def test_nondefault_chunk_size_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="chunk_size"):
-            ExecutorConfig(chunk_size=8)
-
-    def test_default_chunk_size_stays_silent(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ExecutorConfig()  # the default never warns
-
-    def test_invalid_chunk_size_still_raises_not_warns(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            ExecutorConfig(chunk_size=0)
 
     def test_telemetry_summary_shape(self, tmp_path):
         cache = str(tmp_path / "cache")

@@ -218,3 +218,43 @@ class TestBackfill:
             assert srv.index.surfaces == {}
         finally:
             srv.stop()  # must not hang: serve_forever never ran
+
+
+class _LegacyConfig:
+    """A cached config as an older simulator wrote it: with ``engine``."""
+
+    def __init__(self, load, seed):
+        self.d = sweep_config("proposed", load, seed, 8.0, 1.0).to_dict()
+        self.d["engine"] = "batched"
+
+    def to_dict(self):
+        return dict(self.d)
+
+
+class TestLegacyEngineEntries:
+    def _snapshot(self, cache_dir):
+        srv = build_server(str(cache_dir), port=0, point_fn=_stub_point)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        try:
+            _status, surfaces = _get(srv.url + "/surfaces")
+            answer = _get(
+                srv.url + "/query?kind=operating_point&scheme=proposed&load=1.0"
+            )
+            return json.loads(surfaces), answer
+        finally:
+            srv.stop()
+            thread.join(timeout=10)
+
+    def test_entry_with_engine_key_is_skipped_not_surfaced(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        _seed(cache_dir)
+        before, answer_before = self._snapshot(cache_dir)
+        legacy = _LegacyConfig(1.0, 1)
+        ResultCache(cache_dir).put("e" * 64, _row(1.0, 1), legacy)
+        after, answer_after = self._snapshot(cache_dir)
+        assert after["surfaces"] == before["surfaces"]
+        assert len(after["surfaces"]) == 1
+        assert after["skipped_entries"] == before["skipped_entries"] + 1
+        assert answer_after == answer_before
+        assert answer_after[0] == 200
