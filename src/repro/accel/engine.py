@@ -26,9 +26,11 @@ the agenda fires the exact engine would have dispatched:
 occurrence             exact-engine fires                    count
 =====================  ====================================  =====
 MSDU arrival           source process timeout                1
-backoff expiry         ``_backoff_complete`` timer           1
+backoff expiry         access-manager expiry entry           1
 (skipped on 802.11 immediate access — fresh arrival on a
-medium already idle >= DIFS transmits without arming a timer)
+medium already idle >= DIFS transmits without arming a countdown;
+counted per winner, where the exact engine fires one entry for all
+stations expiring at the same instant)
 data transmission      channel ``_finish`` + done event      2
 data survived          ACK send timer + ACK ``_finish``
                        + ACK done event                      3
@@ -342,7 +344,7 @@ class BatchedContentionModel:
                 busy_time += busy_end - tmin
                 # exact-equivalent fires (timestamp-guarded)
                 if not immediate[w]:
-                    events += 1  # _backoff_complete at tmin
+                    events += 1  # backoff expiry at tmin
                 if data_end <= sim_time:
                     events += 2  # data _finish + done event
                     if data_ok:
@@ -401,7 +403,7 @@ class BatchedContentionModel:
                 busy_time += busy_end - tmin
                 for w, air in zip(winners, airs):
                     if not immediate[w]:
-                        events += 1  # _backoff_complete
+                        events += 1  # backoff expiry (per winner)
                     immediate[w] = False
                     data_end = tmin + air
                     resolve_t = data_end + ack_timeout

@@ -32,8 +32,10 @@ __all__ = ["KEY_FORMAT", "jsonable", "canonical_json", "normalize_row", "config_
 #:  4: ScenarioConfig grew the trace TraceConfig field and traced rows
 #:  carry an obs sub-dict;
 #:  5: ScenarioConfig grew the ess EssCellContext field and ESS cell
-#:  shards carry an ess sub-dict)
-KEY_FORMAT = 5
+#:  shards carry an ess sub-dict;
+#:  6: one channel-access manager runs every station's backoff
+#:  countdown, so the same config reports a different events_processed)
+KEY_FORMAT = 6
 
 
 def canonical_json(value: typing.Any) -> str:

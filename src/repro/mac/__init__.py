@@ -8,7 +8,7 @@ from .backoff import (
     BackoffPolicy,
     StandardBEB,
 )
-from .dcf import DcfStats, DcfTransmitter
+from .dcf import ChannelAccessManager, DcfStats, DcfTransmitter
 from .frames import BROADCAST, Frame, FrameType
 from .nav import Nav
 from .pcf import CfpScheduler, CfpStats, CfPollable, PcfCoordinator, PollAction
@@ -21,6 +21,7 @@ __all__ = [
     "LEVEL_REACTIVATION",
     "LEVEL_NEW_OR_DATA",
     "NUM_LEVELS",
+    "ChannelAccessManager",
     "DcfTransmitter",
     "DcfStats",
     "Frame",

@@ -85,6 +85,16 @@ class BackoffPolicy:
     def observe_outcome(self, success: bool) -> None:
         """One of our own transmissions succeeded/failed."""
 
+    @property
+    def observes_slots(self) -> bool:
+        """False when neither slot hook is overridden: every
+        :meth:`observe_span` call is then a no-op the DCF may skip."""
+        cls = type(self)
+        return (
+            cls.observe_span is not BackoffPolicy.observe_span
+            or cls.observe_slots is not BackoffPolicy.observe_slots
+        )
+
 
 class StandardBEB(BackoffPolicy):
     """IEEE 802.11 binary exponential backoff.
@@ -112,6 +122,9 @@ class StandardBEB(BackoffPolicy):
         while self.cw_min * (2**stage) < self.cw_max:
             stage += 1
         return stage
+
+    def draw_window(self, level: int, stage: int) -> tuple[int, int]:
+        return (0, self.window(stage))
 
     def draw_slots(self, level: int, stage: int, rng: np.random.Generator) -> int:
         return int(rng.integers(0, self.window(stage)))

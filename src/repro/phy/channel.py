@@ -120,6 +120,10 @@ class Channel:
         #: optional :class:`repro.obs.trace.TraceRecorder` (``frame``
         #: category); None keeps the hot path to a single guard
         self.trace = None
+        #: the MAC's per-channel contention manager
+        #: (:class:`repro.mac.dcf.ChannelAccessManager`), created and
+        #: attached by the first DCF station on this channel
+        self.access_manager: typing.Any = None
 
     # -- attachment ----------------------------------------------------------
     def attach(self, listener: ChannelListener) -> None:

@@ -85,11 +85,11 @@ class TestKeyFormat:
         assert "engine" not in batched_golden_config().to_dict()
 
     def test_exact_key_matches_pre_accel_construction(self):
-        # the key this config had while the engine knob existed (and
-        # before it): existing caches and journals stay valid
+        # the engine knob never reached an exact config's key: this is
+        # the format-6 key of a config built the way it always was
         cfg = ScenarioConfig(scheme="proposed", seed=1, sim_time=12.0, warmup=2.0)
         assert config_key(cfg) == (
-            "47dc139dd04f875c5db44bc1ef86d9a1d4b121b0bdd96a65fe4225573660946d"
+            "96c20ed3c38cb8e925a0a4110ad0226e669427dffa4c1dff7b3d1faac7b55bb0"
         )
 
     def test_unknown_engine_rejected(self):

@@ -82,5 +82,5 @@ class TestConfigKey:
         key = config_key(ScenarioConfig())
         assert len(key) == 64
         int(key, 16)  # raises if not hex
-        # 5: ScenarioConfig grew the ess EssCellContext field
-        assert KEY_FORMAT == 5
+        # 6: the channel-access manager changed events_processed
+        assert KEY_FORMAT == 6

@@ -188,3 +188,36 @@ class TestPointIdentity:
         assert results["obs"]["trace_dropped"] == (
             scenario.trace.emitted - len(scenario.trace)
         )
+
+
+class TestConventionalBackoffWindows:
+    """Plain-BEB draws record the window they were sampled from."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        cfg = dataclasses.replace(
+            traced_config(sim_time=3.0, load=3.0, n_data_stations=8,
+                          trace=TraceConfig(categories=("backoff",), capacity=0)),
+            scheme="conventional",
+        )
+        scenario = BssScenario(cfg)
+        scenario.run()
+        return scenario
+
+    def test_every_draw_records_its_beb_window(self, scenario):
+        beb = scenario._shared_policy
+        draws = [fields for _t, _s, _c, ev, fields in scenario.trace.events("backoff")
+                 if ev == "draw"]
+        assert draws
+        for fields in draws:
+            stage = min(fields["stage"], beb.max_stage())
+            assert fields["window_offset"] == 0
+            assert fields["window_width"] == beb.window(stage)
+            assert 0 <= fields["slots"] < fields["window_width"]
+
+    def test_retries_record_a_doubled_window(self, scenario):
+        # the run is loaded enough to collide, so the widths must grow
+        widths = {fields["window_width"]
+                  for _t, _s, _c, ev, fields in scenario.trace.events("backoff")
+                  if ev == "draw" and fields["stage"] > 0}
+        assert 64 in widths
