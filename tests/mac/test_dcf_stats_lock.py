@@ -76,6 +76,29 @@ def _faulted() -> ScenarioConfig:
     )
 
 
+def _neighborhood() -> ScenarioConfig:
+    # handoffs come from the neighbourhood birth-death model instead of
+    # the Poisson streams: resident calls are bodies that end (call over
+    # or crossed into the cell) while births keep running
+    return ScenarioConfig(
+        scheme="proposed", seed=3, sim_time=10.0, warmup=1.0, load=2.0,
+        new_voice_rate=0.2, new_video_rate=0.1,
+        handoff_voice_rate=0.3, handoff_video_rate=0.2,
+        mean_holding=4.0, n_data_stations=3, mobility="neighborhood",
+    )
+
+
+def _voice_video_departures() -> ScenarioConfig:
+    # many short voice and video calls, new and handed off: every call
+    # that ends stops its traffic source mid-wait
+    return ScenarioConfig(
+        scheme="proposed", seed=7, sim_time=15.0, warmup=1.0, load=2.0,
+        new_voice_rate=0.8, new_video_rate=0.4,
+        handoff_voice_rate=0.4, handoff_video_rate=0.2,
+        mean_holding=2.5, n_data_stations=2,
+    )
+
+
 #: name -> (config, RTS threshold in payload bits applied to every station)
 CASES: dict[str, tuple[ScenarioConfig, float]] = {
     "conventional_n4_load6": (_dense(4), float("inf")),
@@ -83,6 +106,8 @@ CASES: dict[str, tuple[ScenarioConfig, float]] = {
     "proposed_quickstart": (_quickstart(), float("inf")),
     "conventional_n8_rts": (_dense(8), 4000.0),
     "proposed_faulted_departures": (_faulted(), float("inf")),
+    "proposed_neighborhood_mobility": (_neighborhood(), float("inf")),
+    "proposed_voice_video_departures": (_voice_video_departures(), float("inf")),
 }
 
 
@@ -146,6 +171,14 @@ def test_lock_exercises_what_it_claims(lock):
     calls = [sid for sid in faulted["dcf"] if not sid.startswith("data/")]
     assert len(calls) > 10
     assert faulted["row"]["faults"]["cf_ends_lost"] > 0
+    # every handoff of the neighbourhood case was injected by mobility
+    roaming = lock["proposed_neighborhood_mobility"]["row"]
+    assert roaming["call_attempts_handoff"] > 10
+    departures = lock["proposed_voice_video_departures"]
+    calls = [sid for sid in departures["dcf"] if not sid.startswith("data/")]
+    assert len(calls) > 40
+    assert departures["row"]["voice_delivered"] > 0
+    assert departures["row"]["video_delivered"] > 0
 
 
 if __name__ == "__main__":
