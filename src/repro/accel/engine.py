@@ -25,15 +25,15 @@ the agenda fires the exact engine would have dispatched:
 =====================  ====================================  =====
 occurrence             exact-engine fires                    count
 =====================  ====================================  =====
-MSDU arrival           source process timeout                1
+MSDU arrival           source process wake-up                1
 backoff expiry         access-manager expiry entry           1
 (skipped on 802.11 immediate access — fresh arrival on a
 medium already idle >= DIFS transmits without arming a countdown;
 counted per winner, where the exact engine fires one entry for all
 stations expiring at the same instant)
-data transmission      channel ``_finish`` + done event      2
+data transmission      channel ``_finish`` + ``on_done``     2
 data survived          ACK send timer + ACK ``_finish``
-                       + ACK done event                      3
+                       + ACK ``on_done``                     3
 data corrupted /       ACK-timeout timer                     1
 collided
 superframe tick        conventional AP timer                 1
@@ -346,12 +346,12 @@ class BatchedContentionModel:
                 if not immediate[w]:
                     events += 1  # backoff expiry at tmin
                 if data_end <= sim_time:
-                    events += 2  # data _finish + done event
+                    events += 2  # data _finish + on_done
                     if data_ok:
                         if data_end + sifs <= sim_time:
                             events += 1  # ACK send timer
                         if busy_end <= sim_time:
-                            events += 2  # ACK _finish + done event
+                            events += 2  # ACK _finish + on_done
                     elif resolve_t <= sim_time:
                         events += 1  # ACK-timeout timer
                 immediate[w] = False
@@ -408,7 +408,7 @@ class BatchedContentionModel:
                     data_end = tmin + air
                     resolve_t = data_end + ack_timeout
                     if data_end <= sim_time:
-                        events += 2  # data _finish + done event
+                        events += 2  # data _finish + on_done
                         if resolve_t <= sim_time:
                             events += 1  # ACK-timeout timer
                     if resolve_t > sim_time:

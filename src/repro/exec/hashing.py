@@ -34,8 +34,10 @@ __all__ = ["KEY_FORMAT", "jsonable", "canonical_json", "normalize_row", "config_
 #:  5: ScenarioConfig grew the ess EssCellContext field and ESS cell
 #:  shards carry an ess sub-dict;
 #:  6: one channel-access manager runs every station's backoff
-#:  countdown, so the same config reports a different events_processed)
-KEY_FORMAT = 6
+#:  countdown, so the same config reports a different events_processed;
+#:  7: transmit completions and generator bodies run on timer handles,
+#:  so process exits and stale wake-ups no longer count as fires)
+KEY_FORMAT = 7
 
 
 def canonical_json(value: typing.Any) -> str:

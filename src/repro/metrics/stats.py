@@ -161,7 +161,7 @@ class WindowedRatio:
             self.total_events += 1
 
     def ratio(self) -> float:
-        """Event fraction over the (decayed) recent past (0 if empty)."""
+        """Flagged fraction of the (decayed) recent trials (0 if empty)."""
         return self.events / self.trials if self.trials else 0.0
 
     def total_ratio(self) -> float:

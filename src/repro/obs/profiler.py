@@ -2,10 +2,11 @@
 
 :class:`EngineProfiler` plugs into :attr:`repro.sim.engine.Simulator.
 profiler`.  When attached, the engine hands it every agenda item to
-fire; the profiler times the handler with ``perf_counter`` and
-aggregates by handler key — the callback's ``__qualname__`` for timer
-callbacks, the item's class name for events and processes.  Detached
-(the default), the engine's hot path pays one ``is None`` check.
+fire (always a :class:`~repro.sim.engine.TimerHandle`); the profiler
+times the callback with ``perf_counter`` and aggregates by its
+``__qualname__`` (generator bodies all show as ``Process._step``).
+Detached (the default), the engine's hot path pays one ``is None``
+check.
 
 Profiling output is wall-clock derived and therefore *never* part of
 result rows, traces or anything else that must be deterministic; it is
@@ -56,23 +57,14 @@ class EngineProfiler:
 
     # -- the engine-facing hook --------------------------------------------
     def fire(self, item: typing.Any) -> None:
-        """Fire one agenda item, timing its handler.
-
-        ``item`` is whatever the simulator popped: a ``TimerHandle``
-        (fired via ``_fire``) or an event/process (``_process``).
-        """
-        fn = getattr(item, "_fn", None)
-        if fn is not None:  # a TimerHandle
-            key = getattr(fn, "__qualname__", None) or repr(fn)
-            handler = item._fire
-        else:
-            key = type(item).__name__
-            handler = item._process
+        """Fire one agenda item (a ``TimerHandle``), timing its callback."""
+        fn = item._fn
+        key = getattr(fn, "__qualname__", None) or repr(fn)
         start = time.perf_counter()
         if self._t0 is None:
             self._t0 = start
         try:
-            handler()
+            item._fire()
         finally:
             end = time.perf_counter()
             self._t1 = end

@@ -1,33 +1,17 @@
 """Discrete-event simulation kernel (substrate).
 
 The paper's evaluation was built on the commercial Simscript II.5 tool;
-this package is the from-scratch replacement: a deterministic
-process-oriented DES kernel with events, timers, interrupts, resources,
-named random streams and instrumentation.
+this package is the from-scratch replacement: a deterministic DES
+kernel whose only agenda entry is a cancellable timer callback, with
+generator bodies driven by those timers and named random streams.
 """
 
-from .engine import Simulator, StopSimulation, TimerHandle
-from .events import AllOf, AnyOf, Event, EventAlreadyTriggered, Timeout
-from .monitor import TimeSeries, TimeWeighted, Trace
-from .process import Interrupt, Process
-from .resources import Resource, Store
+from .engine import Process, Simulator, TimerHandle
 from .rng import RandomStreams
 
 __all__ = [
     "Simulator",
-    "StopSimulation",
     "TimerHandle",
-    "Event",
-    "Timeout",
-    "AnyOf",
-    "AllOf",
-    "EventAlreadyTriggered",
     "Process",
-    "Interrupt",
-    "Resource",
-    "Store",
     "RandomStreams",
-    "TimeSeries",
-    "TimeWeighted",
-    "Trace",
 ]

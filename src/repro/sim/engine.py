@@ -1,23 +1,22 @@
 """The discrete-event simulation core.
 
 :class:`Simulator` owns the clock and the agenda (a binary heap of
-triggered events keyed by ``(time, priority, sequence)``).  It offers
-three styles of modelling, all interoperable:
+:class:`TimerHandle` entries keyed by ``(time, priority, sequence)``).
+Everything that happens is a timer callback: ``sim.call_at(t, fn)`` /
+``sim.call_in(dt, fn)``.  Generator bodies spawned with
+:meth:`Simulator.process` are driven by the same handles — each numeric
+yield schedules the body's next step.
 
-* **timer callbacks** — ``sim.call_at(t, fn)`` / ``sim.call_in(dt, fn)``;
-* **events** — create an :class:`~repro.sim.events.Event` and trigger it;
-* **processes** — generator coroutines spawned via :meth:`Simulator.process`.
-
-Determinism: two events scheduled for the same instant fire in
+Determinism: two callbacks scheduled for the same instant fire in
 ``(priority, insertion order)`` — there is no reliance on hash order or
 wall-clock anywhere, so a run is exactly reproducible from its seed.
 
 Hot-path layout (see DESIGN.md "Performance"):
 
 * :meth:`Simulator.run` inlines the agenda loop — ``heappop`` is bound
-  to a local, dispatch goes through the uniform ``_fire`` slot every
-  agenda item carries (no ``isinstance``), and consecutive entries at
-  the same timestamp are batched past the deadline/clock bookkeeping.
+  to a local, every entry fires through its handle's ``_fire``, and
+  consecutive entries at the same timestamp are batched past the
+  deadline/clock bookkeeping.
 * Cancelled :class:`TimerHandle` *tombstones* are counted as they are
   created; once they outnumber the live half of the heap the agenda is
   compacted in place.  Tombstones are never dispatched and never count
@@ -33,22 +32,11 @@ from __future__ import annotations
 import heapq
 import typing
 
-from .events import Event, Timeout
-from .process import Process
-
-__all__ = ["Simulator", "StopSimulation", "TimerHandle", "SlabAgenda"]
+__all__ = ["Simulator", "TimerHandle", "Process", "SlabAgenda"]
 
 #: a heap must hold at least this many cancelled entries before a
 #: tombstone compaction can trigger (tiny heaps are cheaper to drain)
 _COMPACT_MIN_TOMBSTONES = 16
-
-#: upper bound on the pooled callback lists / recycled Timeouts kept
-#: per simulator (see DESIGN.md "Performance" for reuse rules)
-_FREELIST_CAP = 256
-
-
-class StopSimulation(Exception):
-    """Raised internally to halt :meth:`Simulator.run` early."""
 
 
 class TimerHandle:
@@ -87,11 +75,53 @@ class TimerHandle:
             self._fn(*self._args)
 
 
+class Process:
+    """A generator body driven by timer handles (see :meth:`Simulator.process`).
+
+    The body yields numbers only; each one sleeps that many time units.
+    Yielding anything else throws ``TypeError`` into the body at that
+    yield.  An exception that escapes the body propagates out of
+    :meth:`Simulator.run`.
+    """
+
+    __slots__ = ("_sim", "_generator", "_handle")
+
+    def __init__(self, sim: "Simulator", generator: typing.Generator) -> None:
+        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+            raise TypeError(
+                f"process body must be a generator, got {type(generator).__name__}"
+            )
+        self._sim = sim
+        self._generator = generator
+        # start through the agenda, so creation order decides ordering
+        self._handle: TimerHandle | None = sim.call_in(0.0, self._step)
+
+    def stop(self) -> None:
+        """Cancel the pending wake-up and close the body (idempotent)."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.cancel()
+        self._generator.close()
+
+    def _step(self) -> None:
+        self._handle = None  # the wake-up running this step is spent
+        generator = self._generator
+        try:
+            delay = generator.send(None)
+            while not isinstance(delay, (int, float)):
+                delay = generator.throw(
+                    TypeError(f"process yielded {delay!r}; yield a numeric delay")
+                )
+        except StopIteration:
+            return
+        self._handle = self._sim.call_in(delay, self._step)
+
+
 class SlabAgenda:
     """Array-of-structs agenda: typed numpy slabs + a heap of indices.
 
     The general agenda stores one Python object per entry (a timer
-    handle or event) because callbacks are arbitrary.  The batched
+    handle) because callbacks are arbitrary.  The batched
     fast path (:mod:`repro.accel`) schedules only *typed* work —
     arrivals, round completions, housekeeping ticks — so its entries
     need no objects at all: each occupies one slot across three
@@ -200,7 +230,7 @@ class Simulator:
     >>> sim = Simulator()
     >>> out = []
     >>> def proc(sim):
-    ...     yield sim.timeout(1.5)
+    ...     yield 1.5
     ...     out.append(sim.now)
     >>> _ = sim.process(proc(sim))
     >>> sim.run()
@@ -219,10 +249,6 @@ class Simulator:
         #: cancelled TimerHandle entries believed to still sit in the
         #: heap (advisory — compaction recomputes the exact set)
         self._tombstones = 0
-        #: recycled empty callback lists shared by this sim's events
-        self._cb_pool: list[list] = []
-        #: recycled process-private Timeouts (see Process._wait_on)
-        self._timeout_pool: list[Timeout] = []
         #: optional ``fn(time)`` called before each agenda entry fires
         #: (the validation monitors' clock-monotonicity hook)
         self.step_observer: typing.Callable[[float], None] | None = None
@@ -274,22 +300,6 @@ class Simulator:
         self._tombstones = 0
 
     # -- scheduling primitives --------------------------------------------
-    def _push(self, time: float, priority: int, item: typing.Any) -> None:
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule in the past ({time} < now={self._now})"
-            )
-        self._seq += 1
-        heapq.heappush(self._heap, (time, priority, self._seq, item))
-
-    def _enqueue_triggered(self, event: Event) -> None:
-        """Place an already-triggered event on the agenda for *now*."""
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (self._now, 0, seq, event))
-
-    def _enqueue_at(self, time: float, priority: int, event: Event) -> None:
-        self._push(time, priority, event)
-
     def call_at(
         self, time: float, fn: typing.Callable, *args: typing.Any, priority: int = 0
     ) -> TimerHandle:
@@ -319,41 +329,9 @@ class Simulator:
         heapq.heappush(self._heap, (time, priority, seq, handle))
         return handle
 
-    # -- factories ---------------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh pending :class:`Event` owned by this simulator."""
-        return Event(self)
-
-    def timeout(
-        self, delay: float, value: typing.Any = None, priority: int = 0
-    ) -> Timeout:
-        """Create an event that fires ``delay`` from now."""
-        return Timeout(self, delay, value=value, priority=priority)
-
     def process(self, generator: typing.Generator) -> Process:
-        """Spawn a generator coroutine as a simulation process."""
+        """Spawn a generator body (numeric yields only) as a process."""
         return Process(self, generator)
-
-    # -- engine-private timeout recycling -----------------------------------
-    def _acquire_timeout(self, delay: float) -> Timeout:
-        """A Timeout for a process numeric yield, recycled when possible.
-
-        Only :class:`~repro.sim.process.Process` may call this: the
-        returned event is marked ``_pooled`` and goes back on the
-        free-list by ``Process._resume`` once its fire was consumed.
-        """
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout._reinit(delay)
-            return timeout
-        timeout = Timeout(self, delay)
-        timeout._pooled = True
-        return timeout
-
-    def _release_timeout(self, timeout: Timeout) -> None:
-        if len(self._timeout_pool) < _FREELIST_CAP:
-            self._timeout_pool.append(timeout)
 
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
@@ -444,46 +422,24 @@ class Simulator:
                 break
             self.step()
 
-    def run(self, until: float | Event | None = None) -> typing.Any:
-        """Run until the agenda drains, a deadline, or an event fires.
+    def run(self, until: float | None = None) -> None:
+        """Run until the agenda drains or a deadline passes.
 
         Parameters
         ----------
         until:
             ``None`` — run to agenda exhaustion.  A number — run until the
-            clock would pass it (the clock is then set to it).  An
-            :class:`Event` — run until that event is processed, returning
-            its value.
+            clock would pass it (the clock is then set to it).
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
+        deadline = float("inf") if until is None else float(until)
+        if deadline < self._now:
+            raise ValueError(f"deadline {deadline} is in the past")
         self._running = True
         try:
-            if isinstance(until, Event):
-                sentinel = until
-                result: list[typing.Any] = []
-
-                def _stop(ev: Event) -> None:
-                    result.append(ev.value)
-                    raise StopSimulation
-
-                sentinel.add_callback(_stop)
-                try:
-                    self._loop(float("inf"))
-                except StopSimulation:
-                    return result[0]
-                if not sentinel.processed:
-                    raise RuntimeError(
-                        "run(until=event): agenda drained before event fired"
-                    )
-                return result[0]
-
-            deadline = float("inf") if until is None else float(until)
-            if deadline < self._now:
-                raise ValueError(f"deadline {deadline} is in the past")
             self._loop(deadline)
-            if deadline != float("inf"):
-                self._now = deadline
-            return None
         finally:
             self._running = False
+        if deadline != float("inf"):
+            self._now = deadline

@@ -20,7 +20,7 @@ import enum
 import itertools
 import typing
 
-from ..sim.engine import Simulator
+from ..sim.engine import Process, Simulator
 
 __all__ = ["TrafficKind", "Packet", "TrafficSource"]
 
@@ -96,7 +96,7 @@ class TrafficSource:
         self._seq = 0
         self.packets_emitted = 0
         self.bits_emitted = 0
-        self.process: typing.Any = None
+        self.process: Process | None = None
 
     def start(self) -> None:
         """Spawn the generation process (idempotent)."""
@@ -105,8 +105,8 @@ class TrafficSource:
 
     def stop(self) -> None:
         """Terminate the generation process, if running."""
-        if self.process is not None and self.process.is_alive:
-            self.process.interrupt("source stopped")
+        if self.process is not None:
+            self.process.stop()
 
     def _emit(
         self,

@@ -14,7 +14,6 @@ import typing
 import numpy as np
 
 from ..sim.engine import Simulator
-from ..sim.process import Interrupt
 from .base import Packet, TrafficKind, TrafficSource
 
 __all__ = ["PoissonDataSource"]
@@ -67,11 +66,8 @@ class PoissonDataSource(TrafficSource):
 
     def _run(self) -> typing.Generator:
         rng = self._rng
-        try:
-            while True:
-                yield rng.exponential(1.0 / self.arrival_rate)
-                msdu = max(1, int(round(rng.exponential(self.mean_length_bits))))
-                for mpdu_bits in self.fragment(msdu):
-                    self._emit(mpdu_bits)
-        except Interrupt:
-            return
+        while True:
+            yield rng.exponential(1.0 / self.arrival_rate)
+            msdu = max(1, int(round(rng.exponential(self.mean_length_bits))))
+            for mpdu_bits in self.fragment(msdu):
+                self._emit(mpdu_bits)

@@ -24,7 +24,6 @@ import typing
 import numpy as np
 
 from ..sim.engine import Simulator
-from ..sim.process import Interrupt
 from .base import Packet, TrafficKind, TrafficSource
 
 __all__ = ["VideoParams", "MaglarisVideoSource"]
@@ -126,14 +125,11 @@ class MaglarisVideoSource(TrafficSource):
     def _run(self) -> typing.Generator:
         p = self.params
         frame_interval = 1.0 / p.frame_rate
-        try:
-            while True:
-                yield frame_interval
-                bits = self.next_frame_bits()
-                deadline = self.sim.now + p.max_delay
-                while bits > 0:
-                    chunk = min(bits, p.packet_bits)
-                    self._emit(chunk, deadline=deadline)
-                    bits -= chunk
-        except Interrupt:
-            return
+        while True:
+            yield frame_interval
+            bits = self.next_frame_bits()
+            deadline = self.sim.now + p.max_delay
+            while bits > 0:
+                chunk = min(bits, p.packet_bits)
+                self._emit(chunk, deadline=deadline)
+                bits -= chunk

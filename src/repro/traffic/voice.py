@@ -18,7 +18,6 @@ import typing
 import numpy as np
 
 from ..sim.engine import Simulator
-from ..sim.process import Interrupt
 from .base import Packet, TrafficKind, TrafficSource
 
 __all__ = ["VoiceParams", "OnOffVoiceSource"]
@@ -114,6 +113,6 @@ class OnOffVoiceSource(TrafficSource):
                 else:
                     yield rng.exponential(p.mean_off)
                     talking = True
-        except Interrupt:
+        finally:
+            # stopped (closed) mid-spurt: the source is silent now
             self.talking = False
-            return

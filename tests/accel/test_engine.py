@@ -86,10 +86,10 @@ class TestKeyFormat:
 
     def test_exact_key_matches_pre_accel_construction(self):
         # the engine knob never reached an exact config's key: this is
-        # the format-6 key of a config built the way it always was
+        # the format-7 key of a config built the way it always was
         cfg = ScenarioConfig(scheme="proposed", seed=1, sim_time=12.0, warmup=2.0)
         assert config_key(cfg) == (
-            "96c20ed3c38cb8e925a0a4110ad0226e669427dffa4c1dff7b3d1faac7b55bb0"
+            "f7708388cb84e10a30b39192ad30a4e54bcd3248dee5162c8d7e75fa956eb7b3"
         )
 
     def test_unknown_engine_rejected(self):

@@ -82,5 +82,5 @@ class TestConfigKey:
         key = config_key(ScenarioConfig())
         assert len(key) == 64
         int(key, 16)  # raises if not hex
-        # 6: the channel-access manager changed events_processed
-        assert KEY_FORMAT == 6
+        # 7: timer-handle processes changed events_processed
+        assert KEY_FORMAT == 7

@@ -92,3 +92,17 @@ def test_offered_load_estimate_positive_and_monotone():
     b = quick_cfg(load=2.0)
     assert 0 < a.offered_load_bps() < b.offered_load_bps()
     assert a.normalized_load() < 1.0
+
+
+def test_crashing_traffic_source_fails_the_run(monkeypatch):
+    # a source body that raises must abort the run, not silently stop
+    # emitting while the scenario still returns a row
+    from repro.traffic.data import PoissonDataSource
+
+    def crashing(self):
+        yield 0.5
+        raise RuntimeError("source crashed")
+
+    monkeypatch.setattr(PoissonDataSource, "_run", crashing)
+    with pytest.raises(RuntimeError, match="source crashed"):
+        BssScenario(quick_cfg(sim_time=3.0, warmup=1.0)).run()

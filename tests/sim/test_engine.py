@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 
 
 def test_clock_starts_at_zero():
@@ -100,22 +100,6 @@ def test_run_resumes_after_deadline():
     assert sim.now == 10.0
 
 
-def test_run_until_event_returns_its_value():
-    sim = Simulator()
-    ev = sim.event()
-    sim.call_in(3.0, ev.succeed, 42)
-    assert sim.run(until=ev) == 42
-    assert sim.now == 3.0
-
-
-def test_run_until_event_that_never_fires_raises():
-    sim = Simulator()
-    ev = sim.event()
-    sim.call_in(1.0, lambda: None)
-    with pytest.raises(RuntimeError):
-        sim.run(until=ev)
-
-
 def test_run_until_past_deadline_raises():
     sim = Simulator(start_time=10.0)
     with pytest.raises(ValueError):
@@ -160,35 +144,3 @@ def test_reentrant_run_rejected():
 
     sim.process(body())
     sim.run()
-
-
-def test_event_value_before_trigger_raises():
-    sim = Simulator()
-    ev = Event(sim)
-    with pytest.raises(RuntimeError):
-        _ = ev.value
-
-
-def test_event_double_succeed_raises():
-    sim = Simulator()
-    ev = Event(sim)
-    ev.succeed(1)
-    with pytest.raises(Exception):
-        ev.succeed(2)
-
-
-def test_event_fail_requires_exception_instance():
-    sim = Simulator()
-    ev = Event(sim)
-    with pytest.raises(TypeError):
-        ev.fail("not an exception")  # type: ignore[arg-type]
-
-
-def test_callback_after_processing_runs_immediately():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed("v")
-    sim.run()
-    seen = []
-    ev.add_callback(lambda e: seen.append(e.value))
-    assert seen == ["v"]

@@ -1,8 +1,8 @@
-"""Unit tests for generator processes: waits, joins, interrupts, failures."""
+"""Unit tests for generator processes: numeric waits, stops, failures."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import Simulator
 
 
 def test_process_timeout_advances_clock():
@@ -20,127 +20,42 @@ def test_process_timeout_advances_clock():
     assert seen == [2.0, 5.0]
 
 
-def test_process_waits_on_event_and_receives_value():
+def test_exception_escaping_process_propagates_out_of_run():
     sim = Simulator()
-    ev = sim.event()
-    got = []
-
-    def body():
-        value = yield ev
-        got.append(value)
-
-    sim.process(body())
-    sim.call_in(1.0, ev.succeed, "payload")
-    sim.run()
-    assert got == ["payload"]
-
-
-def test_process_return_value_via_join():
-    sim = Simulator()
-    got = []
-
-    def child():
-        yield 1.0
-        return 99
-
-    def parent():
-        result = yield sim.process(child())
-        got.append((sim.now, result))
-
-    sim.process(parent())
-    sim.run()
-    assert got == [(1.0, 99)]
-
-
-def test_failed_event_raises_inside_waiter():
-    sim = Simulator()
-    ev = sim.event()
-    caught = []
-
-    def body():
-        try:
-            yield ev
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    sim.process(body())
-    sim.call_in(1.0, ev.fail, ValueError("boom"))
-    sim.run()
-    assert caught == ["boom"]
-
-
-def test_exception_escaping_process_marks_it_failed():
-    sim = Simulator()
+    later = []
 
     def body():
         yield 1.0
         raise KeyError("inner")
 
-    proc = sim.process(body())
-    sim.run()
-    assert proc.triggered and not proc.ok
+    sim.process(body())
+    sim.call_at(2.0, later.append, "fired")
     with pytest.raises(KeyError):
-        _ = proc.value
+        sim.run()
+    # the run stopped at the failing step: nothing after it fired
+    assert sim.now == 1.0
+    assert later == []
 
 
-def test_unhandled_failure_propagates_to_joiner():
+def test_stopped_body_never_resumes():
     sim = Simulator()
-
-    def child():
-        yield 1.0
-        raise RuntimeError("child died")
-
-    caught = []
-
-    def parent():
-        try:
-            yield sim.process(child())
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    sim.process(parent())
-    sim.run()
-    assert caught == ["child died"]
-
-
-def test_interrupt_delivers_cause():
-    sim = Simulator()
-    caught = []
-
-    def body():
-        try:
-            yield 100.0
-        except Interrupt as exc:
-            caught.append((sim.now, exc.cause))
-
-    proc = sim.process(body())
-    sim.call_in(2.0, proc.interrupt, "preempted")
-    sim.run()
-    assert caught == [(2.0, "preempted")]
-
-
-def test_interrupted_wait_does_not_resume_twice():
-    sim = Simulator()
-    resumptions = []
+    seen = []
 
     def body():
         try:
             yield 5.0
-        except Interrupt:
-            pass
-        resumptions.append(sim.now)
-        yield 10.0
-        resumptions.append(sim.now)
+            seen.append("resumed")
+        finally:
+            seen.append(("closed", sim.now))
 
     proc = sim.process(body())
-    sim.call_in(1.0, proc.interrupt)
+    sim.call_in(1.0, proc.stop)
     sim.run()
-    # After the interrupt at t=1 the original t=5 timeout must be ignored;
-    # the follow-up 10s wait completes at t=11.
-    assert resumptions == [1.0, 11.0]
+    assert seen == [("closed", 1.0)]
+    assert sim.now == 1.0
 
 
-def test_interrupt_dead_process_raises():
+def test_stop_is_idempotent_and_safe_after_exit():
     sim = Simulator()
 
     def body():
@@ -148,8 +63,27 @@ def test_interrupt_dead_process_raises():
 
     proc = sim.process(body())
     sim.run()
-    with pytest.raises(RuntimeError):
-        proc.interrupt()
+    proc.stop()
+    proc.stop()
+    stopped_early = sim.process(body())
+    stopped_early.stop()
+    stopped_early.stop()
+    sim.run()
+    assert sim.now == 1.0
+
+
+def test_exits_and_stale_wakeups_are_not_fires():
+    sim = Simulator()
+
+    def body(steps):
+        for _ in range(steps):
+            yield 1.0
+
+    sim.process(body(3))  # start + 3 wake-ups, the last one exits
+    stopped = sim.process(body(10))
+    sim.call_at(2.5, stopped.stop)  # start + 2 wake-ups + the stop
+    sim.run()
+    assert sim.events_processed == 4 + 3 + 1
 
 
 def test_yielding_garbage_raises_typeerror_in_process():
@@ -165,6 +99,17 @@ def test_yielding_garbage_raises_typeerror_in_process():
     sim.process(body())
     sim.run()
     assert caught == ["typed"]
+
+
+def test_unhandled_garbage_yield_propagates_out_of_run():
+    sim = Simulator()
+
+    def body():
+        yield None
+
+    sim.process(body())
+    with pytest.raises(TypeError):
+        sim.run()
 
 
 def test_non_generator_rejected():
@@ -185,37 +130,6 @@ def test_process_start_is_deterministic_in_creation_order():
     sim.process(body("b"))
     sim.run()
     assert seen[:2] == ["a", "b"]
-
-
-def test_anyof_fires_on_first():
-    sim = Simulator()
-    got = []
-
-    def body():
-        t1 = sim.timeout(5.0, value="slow")
-        t2 = sim.timeout(2.0, value="fast")
-        result = yield AnyOf(sim, [t1, t2])
-        got.append((sim.now, sorted(result.values())))
-
-    sim.process(body())
-    sim.run()
-    assert got[0][0] == 2.0
-    assert "fast" in got[0][1]
-
-
-def test_allof_waits_for_all():
-    sim = Simulator()
-    got = []
-
-    def body():
-        t1 = sim.timeout(5.0, value="slow")
-        t2 = sim.timeout(2.0, value="fast")
-        result = yield AllOf(sim, [t1, t2])
-        got.append((sim.now, set(result.values())))
-
-    sim.process(body())
-    sim.run()
-    assert got == [(5.0, {"slow", "fast"})]
 
 
 def test_two_processes_interleave():

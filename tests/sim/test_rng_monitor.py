@@ -1,8 +1,8 @@
-"""Unit tests for named RNG streams and monitoring helpers."""
+"""Unit tests for named RNG streams."""
 
 import pytest
 
-from repro.sim import RandomStreams, TimeSeries, TimeWeighted, Trace
+from repro.sim import RandomStreams
 
 
 def test_same_name_same_object():
@@ -47,63 +47,3 @@ def test_contains_reflects_created_streams():
     assert "a" not in streams
     streams.get("a")
     assert "a" in streams
-
-
-def test_timeseries_records_pairs():
-    ts = TimeSeries()
-    ts.record(0.0, 1.0)
-    ts.record(1.0, 2.0)
-    assert list(ts) == [(0.0, 1.0), (1.0, 2.0)]
-    assert len(ts) == 2
-
-
-def test_timeseries_rejects_backwards_time():
-    ts = TimeSeries()
-    ts.record(5.0, 0.0)
-    with pytest.raises(ValueError):
-        ts.record(4.0, 0.0)
-
-
-def test_timeweighted_constant_signal():
-    tw = TimeWeighted()
-    tw.update(0.0, 3.0)
-    assert tw.average(10.0) == pytest.approx(3.0)
-
-
-def test_timeweighted_step_signal():
-    tw = TimeWeighted()
-    tw.update(0.0, 0.0)
-    tw.update(5.0, 1.0)
-    # half the window at 0, half at 1
-    assert tw.average(10.0) == pytest.approx(0.5)
-
-
-def test_timeweighted_zero_span_returns_current():
-    tw = TimeWeighted(start_time=2.0, initial=7.0)
-    assert tw.average(2.0) == 7.0
-    assert tw.current == 7.0
-
-
-def test_timeweighted_rejects_backwards_time():
-    tw = TimeWeighted()
-    tw.update(3.0, 1.0)
-    with pytest.raises(ValueError):
-        tw.update(2.0, 1.0)
-
-
-def test_trace_disabled_records_nothing():
-    tr = Trace(enabled=False)
-    tr.log(0.0, "tx", station=1)
-    assert tr.records == []
-
-
-def test_trace_enabled_records_and_filters():
-    tr = Trace(enabled=True)
-    tr.log(0.0, "tx", station=1)
-    tr.log(1.0, "rx", station=2)
-    assert len(tr.records) == 2
-    assert tr.of_kind("tx") == [(0.0, {"station": 1})]
-    tr.filters = {"rx"}
-    tr.log(2.0, "tx", station=3)
-    tr.log(2.0, "rx", station=3)
-    assert len(tr.records) == 3
