@@ -27,10 +27,11 @@ occurrence             exact-engine fires                    count
 =====================  ====================================  =====
 MSDU arrival           source process wake-up                1
 backoff expiry         access-manager expiry entry           1
-(skipped on 802.11 immediate access — fresh arrival on a
-medium already idle >= DIFS transmits without arming a countdown;
-counted per winner, where the exact engine fires one entry for all
-stations expiring at the same instant)
+(one per round, however many winners collide in it: the exact
+engine fires one entry for all stations expiring at the same
+instant; skipped when every winner used 802.11 immediate access —
+a fresh arrival on a medium already idle >= DIFS transmits without
+arming a countdown)
 data transmission      channel ``_finish`` + ``on_done``     2
 data survived          ACK send timer + ACK ``_finish``
                        + ACK ``on_done``                     3
@@ -401,9 +402,9 @@ class BatchedContentionModel:
                 ]
                 busy_end = tmin + max(airs)
                 busy_time += busy_end - tmin
+                if not all(immediate[w] for w in winners):
+                    events += 1  # one backoff expiry for the whole round
                 for w, air in zip(winners, airs):
-                    if not immediate[w]:
-                        events += 1  # backoff expiry (per winner)
                     immediate[w] = False
                     data_end = tmin + air
                     resolve_t = data_end + ack_timeout

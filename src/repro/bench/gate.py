@@ -6,7 +6,9 @@ run re-measures every benchmark it lists and fails (exit 1) when
 * a baselined benchmark is missing from the fresh run,
 * the exact ``events`` count drifts — a **determinism** regression,
   failed regardless of tolerance (pinned workloads cannot legitimately
-  change event counts without a deliberate baseline update), or
+  change event counts without a deliberate baseline update); the same
+  holds for the ``sim_events`` of both modes of a ``parallel_sweep``
+  section measured with ``--with-sweep``, or
 * throughput or peak allocation regress beyond the tolerance:
   ``events_per_sec < base * (1 - tol)`` or
   ``peak_kib > base * (1 + tol) + 64``  (the 64 KiB absolute slack
@@ -122,6 +124,16 @@ def compare(
                     f"{ceiling:.0f} (baseline {base_peak:.0f} + {tolerance:.0%}"
                     f" + {_ALLOC_SLACK_KIB:.0f} KiB slack)"
                 )
+    fresh_sweep = fresh.get("parallel_sweep") or {}
+    base_sweep = baseline.get("parallel_sweep") or {}
+    for mode in ("serial", "parallel"):
+        got = (fresh_sweep.get(mode) or {}).get("sim_events")
+        want = (base_sweep.get(mode) or {}).get("sim_events")
+        if got is not None and want is not None and got != want:
+            problems.append(
+                f"parallel_sweep.{mode}: DETERMINISM — sim_events {got} != "
+                f"baseline {want} (tolerance does not apply)"
+            )
     return problems
 
 

@@ -549,4 +549,20 @@ class BssScenario:
                 "trace_counts": self.trace.counts_by_category(),
                 "metrics_snapshots": len(self.metrics.snapshots),
             }
+        self._release()
         return results
+
+    def _release(self) -> None:
+        """Free what only the run needed, once its row is built: the
+        agenda and every transmitter's undelivered frames.
+
+        Each station closes a reference cycle (station → transmitter →
+        queued frame → completion callback → station), and the agenda's
+        entries reach every component, so without this a finished
+        scenario and its backlog live until the cyclic collector runs.
+        """
+        self.sim.clear()
+        manager = self.channel.access_manager
+        if manager is not None:
+            for tx in manager.members:
+                tx.discard_backlog()

@@ -29,6 +29,21 @@ def report(**benches):
     return {"schema": 1, "benchmarks": benches}
 
 
+def sweep_section(serial_events, parallel=None):
+    """A ``parallel_sweep`` section as :func:`run_parallel_sweep` writes it."""
+    def mode(workers, events):
+        return {"workers": workers, "sim_events": events, "wall_s": 1.0}
+
+    return {
+        "points": 8,
+        "rows_identical": True,
+        "cpu_cores": 1,
+        "speedup": 1.0,
+        "serial": mode(1, serial_events),
+        "parallel": mode(4, serial_events if parallel is None else parallel),
+    }
+
+
 class TestCompare:
     def test_identical_reports_pass(self):
         r = report(a=entry(), b=entry(events=77))
@@ -52,6 +67,25 @@ class TestCompare:
         problems = compare(fresh, base, tolerance=10.0)
         assert len(problems) == 1
         assert "DETERMINISM" in problems[0]
+
+    def test_sweep_event_drift_fails_regardless_of_tolerance(self):
+        base = report(a=entry())
+        base["parallel_sweep"] = sweep_section(800)
+        fresh = report(a=entry())
+        fresh["parallel_sweep"] = sweep_section(801, parallel=800)
+        problems = compare(fresh, base, tolerance=10.0)
+        assert len(problems) == 1
+        assert problems[0].startswith("parallel_sweep.serial: DETERMINISM")
+        fresh["parallel_sweep"] = sweep_section(800)
+        assert compare(fresh, base, tolerance=0.0) == []
+
+    def test_sweep_sections_without_event_counts_are_not_compared(self):
+        base = report(a=entry())
+        base["parallel_sweep"] = {"speedup": 2.0}
+        fresh = report(a=entry())
+        fresh["parallel_sweep"] = sweep_section(800)
+        assert compare(fresh, base, tolerance=0.0) == []
+        assert compare(base, fresh, tolerance=0.0) == []
 
     def test_missing_benchmark_fails(self):
         base = report(a=entry(), b=entry())
@@ -221,6 +255,24 @@ class TestCli:
                      "--out", str(tmp_path / "fresh.json"),
                      "--tolerance", "0.99"] + self._kernel_only())
         assert code == 0
+
+    @pytest.mark.parametrize("measured, code", [(834_000, 0), (834_001, 1)])
+    def test_with_sweep_gates_the_sweep_event_count(
+        self, tmp_path, monkeypatch, measured, code
+    ):
+        import repro.bench.gate as gate
+
+        monkeypatch.setattr(
+            gate, "run_parallel_sweep", lambda: sweep_section(measured)
+        )
+        baseline = tmp_path / "BENCH.json"
+        seeded = report(timer_chain=entry(events=30_000, ev_s=1))
+        seeded["parallel_sweep"] = sweep_section(834_000)
+        write_report(baseline, seeded)
+        argv = ["--baseline", str(baseline),
+                "--out", str(tmp_path / "fresh.json"),
+                "--tolerance", "0.99", "--with-sweep"] + self._kernel_only()
+        assert main(argv) == code
 
     def test_update_preserves_unmeasured_sections(self, tmp_path):
         baseline = tmp_path / "BENCH.json"

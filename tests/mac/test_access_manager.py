@@ -1,15 +1,17 @@
 """The per-channel access manager: one listener, one agenda entry."""
 
+import sys
+
 import pytest
 
 from repro.mac import DcfTransmitter, Frame, FrameType
-from repro.mac.backoff import LEVEL_NEW_OR_DATA
+from repro.mac.backoff import LEVEL_NEW_OR_DATA, StandardBEB
 from repro.mac.dcf import ChannelAccessManager
 from repro.network.bss import BssScenario, ScenarioConfig
 from repro.phy import ChannelListener
 from repro.sim.engine import TimerHandle
 
-from .conftest import FixedBackoff
+from .conftest import FixedBackoff, MacWorld
 
 
 def make_tx(world, sid, slots):
@@ -140,3 +142,71 @@ def test_station_that_left_mid_exchange_contends_deaf(world):
     world.sim.run(until=0.05)
     assert (a.stats.attempts, a.stats.failures, a.stats.busy_freezes) == (2, 2, 0)
     assert (b.stats.attempts, b.stats.failures, b.stats.successes) == (3, 2, 1)
+
+
+def _edge_pair_work(n: int) -> tuple[int, int]:
+    """(station attribute reads and writes, Python calls) the manager
+    makes over one busy edge plus one idle edge, with ``n`` plain-BEB
+    stations counting in one cohort."""
+    world = MacWorld()
+    touches = [0]
+
+    class Counting(DcfTransmitter):
+        def __getattribute__(self, name):
+            touches[0] += 1
+            return object.__getattribute__(self, name)
+
+        def __setattr__(self, name, value):
+            touches[0] += 1
+            object.__setattr__(self, name, value)
+
+    policy = StandardBEB()
+    stations = [
+        Counting(world.sim, world.channel, world.timing, policy,
+                 world.rng(f"s{i}"), f"s{i}", world.nav)
+        for i in range(n)
+    ]
+    foreign = object()  # a sender that is not a DCF station
+    frame = Frame(FrameType.ACK, src="x", dest="y")
+    airtime = frame.airtime(world.timing)
+    # the stations queue a frame while the medium is busy, so the idle
+    # edge that ends it resumes them all as one cohort
+    world.channel.transmit(frame, airtime, foreign)
+    for tx in stations:
+        tx.enqueue(data_frame(tx.station_id), LEVEL_NEW_OR_DATA)
+    world.sim.run(until=airtime)
+    assert all(tx._cohort is not None for tx in stations)
+    # SIFS later another frame freezes them (no slot counted yet), and
+    # its end resumes them: the edge pair of a DATA/ACK exchange
+    calls = [0]
+
+    def count_calls(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    def busy_edge():
+        touches[0] = 0
+        sys.setprofile(count_calls)
+        world.channel.transmit(frame, airtime, foreign)
+
+    start = world.sim.now + world.timing.sifs
+    world.sim.call_at(start, busy_edge)
+    try:
+        # runs the busy edge and, at the frame's end, the idle edge
+        world.sim.run(until=start + airtime)
+    finally:
+        sys.setprofile(None)
+    work = touches[0], calls[0]
+    assert not world.channel._active
+    assert all(tx._cohort is not None for tx in stations)
+    assert all(tx.stats.busy_freezes == 1 for tx in stations)
+    return work
+
+
+def test_edge_pair_work_does_not_grow_with_station_count():
+    touches_4, calls_4 = _edge_pair_work(4)
+    touches_32, calls_32 = _edge_pair_work(32)
+    # one busy edge and one idle edge cost the same at 32 stations as
+    # at 4: no station is visited on its own
+    assert touches_32 == touches_4
+    assert calls_32 == calls_4

@@ -1,5 +1,9 @@
 """End-to-end tests of the BSS scenario assembly (all three schemes)."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from repro.network import SCHEMES, BssScenario, ScenarioConfig
@@ -106,3 +110,62 @@ def test_crashing_traffic_source_fails_the_run(monkeypatch):
     monkeypatch.setattr(PoissonDataSource, "_run", crashing)
     with pytest.raises(RuntimeError, match="source crashed"):
         BssScenario(quick_cfg(sim_time=3.0, warmup=1.0)).run()
+
+
+def _queued_at_horizon(monkeypatch, release: bool):
+    """Run a saturated point; returns weak references to the packets
+    still queued in a transmitter when the run ended, and the scenario
+    (released as usual, or not at all)."""
+    refs = []
+    original = BssScenario._release
+
+    def recording(self):
+        refs.extend(
+            weakref.ref(entry.frame.packet)
+            for station in self.data_stations
+            for entry in station.dcf._queue
+        )
+        if release:
+            original(self)
+
+    monkeypatch.setattr(BssScenario, "_release", recording)
+    scenario = BssScenario(ScenarioConfig(
+        scheme="conventional", seed=3, sim_time=1.0, warmup=0.2,
+        n_data_stations=16, load=6.0,
+        new_voice_rate=0.0, new_video_rate=0.0,
+        handoff_voice_rate=0.0, handoff_video_rate=0.0,
+    ))
+    scenario.run()
+    return refs, scenario
+
+
+def test_finished_run_frees_its_backlog_without_the_cyclic_collector(monkeypatch):
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs, scenario = _queued_at_horizon(monkeypatch, release=True)
+        assert refs, "the point must leave packets queued at the horizon"
+        del scenario
+        assert all(ref() is None for ref in refs)
+        # without the release the same packets outlive the scenario
+        refs, scenario = _queued_at_horizon(monkeypatch, release=False)
+        assert refs
+        del scenario
+        assert all(ref() is not None for ref in refs)
+    finally:
+        if enabled:
+            gc.enable()
+        gc.collect()
+
+
+def test_release_keeps_the_row_and_the_counters():
+    config = quick_cfg(sim_time=4.0, warmup=1.0, n_data_stations=4, load=3.0)
+    scenario = BssScenario(config)
+    row = scenario.run()
+    after = [dataclasses.asdict(st.dcf.stats) for st in scenario.data_stations]
+    assert scenario.sim.peek() == float("inf")
+    assert all(st.dcf.pending <= 1 for st in scenario.data_stations)
+    again = BssScenario(config)
+    again._release = lambda: None
+    assert again.run() == row
+    assert [dataclasses.asdict(st.dcf.stats) for st in again.data_stations] == after
