@@ -166,7 +166,8 @@ class CallGenerator:
             sid,
             self.nav,
         )
-        dcf.trace = self.trace
+        if self.trace is not None:
+            dcf.trace = self.trace
         station = RealTimeStation(
             self.sim,
             sid,

@@ -219,3 +219,31 @@ def test_standard_beb_invalid_bounds():
         StandardBEB(cw_min=32, cw_max=16)
     with pytest.raises(ValueError):
         StandardBEB().window(-1)
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "conventional"])
+def test_transmitters_keep_shared_instance_dict_keys(scheme):
+    """Every station of a traced run with calls, beacons and NAV waits
+    sets fewer than 30 distinct instance attributes: CPython 3.11 stops
+    sharing instance-dict keys at 30, and every attribute access on
+    the hot path then gets slower."""
+    import gc
+
+    from repro.network.bss import BssScenario, ScenarioConfig
+    from repro.obs.trace import TraceConfig
+
+    scenario = BssScenario(ScenarioConfig(
+        scheme=scheme, seed=3, sim_time=3.0, warmup=0.5, load=2.0,
+        new_voice_rate=0.5, new_video_rate=0.3, mean_holding=1.0,
+        trace=TraceConfig(categories=("backoff",)),
+    ))
+    scenario.run()
+    names = set()
+    stations = 0
+    for obj in gc.get_objects():
+        if isinstance(obj, DcfTransmitter):
+            stations += 1
+            names |= set(vars(obj))
+    assert stations > 4
+    assert "trace" in names
+    assert len(names) < 30
